@@ -1,6 +1,6 @@
-// standing-ingest: tuples pushed open-loop into a StandingSession and
-// decided live against the whole standing relation, then the
-// deterministic Finish() report.
+// standing-ingest: tuples pushed into a StandingSession and decided live
+// against the whole standing relation, then the deterministic Finish()
+// report. The traced run also pushes open-loop at fixed rates.
 
 #include <algorithm>
 #include <atomic>
@@ -34,6 +34,9 @@ constexpr double kBaseRate = 100.0;
 // Rates above the base rate tried for ingest_max_rate (√2 steps).
 constexpr double kLadder[] = {141.0, 200.0, 283.0};
 constexpr double kLatencyLimitMs = 250.0;
+// Every arrival due at the schedule's start: the producer pushes as fast
+// as the queue takes them. It fills a session for a Finish() run.
+constexpr double kBackToBack = std::numeric_limits<double>::infinity();
 constexpr size_t kBatchWorkers = 2;
 
 int64_t Micros(Clock::time_point t) {
@@ -130,8 +133,9 @@ struct Schedule {
 
 // Pushes every arrival at `rate` from one producer thread, each at its
 // due time whatever the drain is doing, while this thread drains.
+// `reading`, when not null, receives the live drain's per-layer readings.
 Schedule RunSchedule(const IngestInput& input, Standing* standing, double rate,
-                     Context* ctx) {
+                     PipelineReading* reading, Context* ctx) {
   pdd::StandingSession& session = *standing->session;
   const size_t n = input.arrivals.size();
   const auto period = std::chrono::duration_cast<Clock::duration>(
@@ -157,10 +161,12 @@ Schedule RunSchedule(const IngestInput& input, Standing* standing, double rate,
     }
     session.queue().Close();
   });
+  const double rss_before = ProcStatusMb("VmRSS");
   SpanRecorder::Scope drain_span = ctx->spans->Begin("ingest.drain");
   pdd::Result<pdd::DetectionResult> live = session.Drain();
   const Clock::time_point drain_end = Clock::now();
   drain_span.End();
+  const double rss_growth = ProcStatusMb("VmRSS") - rss_before;
   // A failed drain stops consuming: close the queue so a producer
   // blocked on a full queue returns.
   if (!live.ok()) session.queue().Close();
@@ -177,6 +183,9 @@ Schedule RunSchedule(const IngestInput& input, Standing* standing, double rate,
   if (live.ok() && out.drain_s > 0.0) {
     out.live_pairs_per_s =
         static_cast<double>(live->decisions.size()) / out.drain_s;
+  }
+  if (live.ok() && reading != nullptr) {
+    reading->Add(*live, out.drain_s, rss_growth);
   }
   const pdd::IngestQueueStats queue = session.queue().Stats();
   const pdd::IngestStream::AdmissionStats admission =
@@ -214,6 +223,54 @@ void RecordSchedule(const Schedule& schedule, Context* ctx) {
   report.Set("ingest.drain_s", schedule.drain_s, "s");
   report.Set("ingest.live_pairs_per_s", schedule.live_pairs_per_s, "pairs/s");
   report.Set("ingest.backlog_end", schedule.backlog_end, "count");
+}
+
+// Finish() and its rendered report: the deterministic report an
+// operator waits for at shutdown. `result` is empty when Finish()
+// failed (the failure is already reported).
+struct Finished {
+  std::optional<pdd::DetectionResult> result;
+  std::string report;
+  double finish_s = 0.0;
+  double render_s = 0.0;
+};
+
+Finished FinishSession(Standing* standing, PipelineReading* reading,
+                       Context* ctx) {
+  Finished out;
+  const double rss_before = ProcStatusMb("VmRSS");
+  SpanRecorder::Scope span = ctx->spans->Begin("ingest.finish");
+  pdd::Result<pdd::DetectionResult> result = standing->session->Finish();
+  out.finish_s = span.End();
+  const double rss_growth = ProcStatusMb("VmRSS") - rss_before;
+  ctx->report->Attempt();
+  if (!result.ok()) {
+    ctx->report->Mismatch("finish: " + result.status().ToString());
+    return out;
+  }
+  SpanRecorder::Scope render = ctx->spans->Begin("core.render");
+  out.report = pdd::DetectionReport(*result);
+  out.render_s = render.End();
+  ctx->report->Attempt();
+  if (reading != nullptr) reading->Add(*result, out.finish_s, rss_growth);
+  out.result = std::move(result).value();
+  return out;
+}
+
+// Fills `standing` back to back and finishes it. Every arrival must be
+// admitted.
+Finished FillAndFinish(const IngestInput& input, Standing* standing,
+                       PipelineReading* reading, Context* ctx) {
+  const Schedule fill = [&] {
+    SpanRecorder::Scope span = ctx->spans->Begin("ingest.fill");
+    return RunSchedule(input, standing, kBackToBack, reading, ctx);
+  }();
+  if (fill.lost > 0) {
+    ctx->report->Mismatch(std::to_string(fill.lost) +
+                          " arrivals lost while filling");
+  }
+  if (!fill.drained) return Finished{};
+  return FinishSession(standing, reading, ctx);
 }
 
 }  // namespace
@@ -258,91 +315,91 @@ void RunStandingIngest(Context* ctx) {
       return;
     }
     input->plan = std::move(plan).value();
-    standing = Admit(*input, ctx->trace, ctx);
+    standing = Admit(*input, false, ctx);
     report.Add("setup_s", setup.End(), "s");
     if (!standing.has_value()) return;
   }
 
-  // The base rate, then the deterministic finish.
+  // The reference every Finish() report must equal byte for byte: the
+  // batch report of the same tuple set, from one 2-worker run outside
+  // the timed regions. The first finished session supplies the tuple
+  // set and the query list.
+  pdd::XRelation canonical;
+  std::string reference;
+  QueryPlan queries;
+  auto check_and_serve = [&](Standing* finished, const Finished& done,
+                             bool first) {
+    if (first) {
+      SpanRecorder::Scope span = ctx->spans->Begin("check.reference");
+      canonical = finished->session->CanonicalRelation();
+      pdd::Result<pdd::DuplicateDetector> batch = pdd::DuplicateDetector::Make(
+          PddcliConfig(pdd::ReductionMethod::kFull, 3, kBatchWorkers),
+          canonical.schema());
+      pdd::Result<pdd::DetectionResult> run =
+          batch.ok() ? batch->Run(canonical)
+                     : pdd::Result<pdd::DetectionResult>(batch.status());
+      report.Attempt();
+      if (!run.ok()) {
+        report.Mismatch("batch reference run: " + run.status().ToString());
+        return;
+      }
+      reference = pdd::DetectionReport(*run);
+      queries = MakeQueryPlan(canonical, *done.result, ctx->seed);
+    }
+    if (reference.empty()) return;  // the reference run failed
+    if (done.report != reference) {
+      report.Mismatch("Finish() report differs from the batch report");
+    }
+    ServeIndex(canonical, *done.result, queries, first, ctx);
+  };
+
+  if (!ctx->trace) {
+    // Each iteration fills a fresh session back to back and times
+    // Finish() to its rendered report. The live decisions, and so the
+    // cache Finish() replays, do not depend on the arrival rate.
+    Repeat(ctx->seconds, 2, [&](int i) {
+      if (i > 0) standing = Admit(*input, false, ctx);
+      if (!standing.has_value()) return;
+      SpanRecorder::Scope iteration = ctx->spans->Begin("iteration");
+      const Finished done = FillAndFinish(*input, &*standing, nullptr, ctx);
+      if (done.result.has_value()) {
+        report.Add("detect_s", done.finish_s + done.render_s, "s");
+        check_and_serve(&*standing, done, i == 0);
+      }
+      SpanRecorder::Scope span = ctx->spans->Begin("ingest.teardown");
+      standing.reset();
+    });
+    return;
+  }
+
+  // Traced run. The user-facing figures come from sessions with stage
+  // timings off: the base rate, Finish() and the ladder. A last session
+  // with stage timings on gives the layer readings and the overhead.
   const Schedule base = [&] {
     SpanRecorder::Scope span = ctx->spans->Begin("ingest.schedule");
-    return RunSchedule(*input, &*standing, kBaseRate, ctx);
+    return RunSchedule(*input, &*standing, kBaseRate, nullptr, ctx);
   }();
   RecordSchedule(base, ctx);
   if (base.lost > 0) {
     report.Mismatch(std::to_string(base.lost) + " arrivals lost at " +
                     std::to_string(kBaseRate) + "/s");
   }
-  SpanRecorder::Scope finish_span = ctx->spans->Begin("ingest.finish");
-  pdd::Result<pdd::DetectionResult> finish = standing->session->Finish();
-  const double finish_s = finish_span.End();
-  report.Attempt();
-  if (!finish.ok()) {
-    report.Mismatch("finish: " + finish.status().ToString());
-    return;
-  }
-  report.Set("finish_s", finish_s, "s");
-  const pdd::CacheRunStats finish_cache =
-      finish->cache_stats.value_or(pdd::CacheRunStats{});
-  report.Set("ingest.finish_hit_ratio", finish_cache.HitRate(), "ratio");
-  if (ctx->trace) RecordCacheStats(standing->session->cache()->Stats(), ctx);
-  SpanRecorder::Scope reference_span = ctx->spans->Begin("check.reference");
-  const std::string finish_report = pdd::DetectionReport(*finish);
-  const pdd::XRelation canonical = standing->session->CanonicalRelation();
-  reference_span.End();
+  if (!base.drained) return;
   {
+    const Finished done = FinishSession(&*standing, nullptr, ctx);
+    if (!done.result.has_value()) return;
+    report.Set("finish_s", done.finish_s, "s");
+    report.Add("detect_s", done.finish_s + done.render_s, "s");
+    report.Set("ingest.finish_hit_ratio",
+               done.result->cache_stats.value_or(pdd::CacheRunStats{})
+                   .HitRate(),
+               "ratio");
+    RecordCacheStats(standing->session->cache()->Stats(), ctx);
+    check_and_serve(&*standing, done, true);
     SpanRecorder::Scope span = ctx->spans->Begin("ingest.teardown");
     standing.reset();
   }
 
-  // The batch report of the same tuple set must match Finish() byte for
-  // byte; its run is this workload's detect_s.
-  pdd::Result<pdd::DuplicateDetector> batch = pdd::DuplicateDetector::Make(
-      PddcliConfig(pdd::ReductionMethod::kFull, 3, kBatchWorkers),
-      canonical.schema());
-  if (!batch.ok()) {
-    report.Mismatch("batch plan: " + batch.status().ToString());
-    return;
-  }
-  if (ctx->trace) {
-    ProbeRelationLayers(canonical, ctx);
-    double generate_s = 0.0;
-    double candidates = 0.0;
-    ProbeReduction(batch->plan(), canonical, &generate_s, &candidates, ctx);
-    report.Add("reduction.generate_s", generate_s, "s");
-    report.Add("reduction.candidates", candidates, "count");
-  }
-  SpanRecorder::Scope query_span = ctx->spans->Begin("check.query_plan");
-  const QueryPlan queries =
-      MakeQueryPlan(canonical, *finish, ctx->seed);
-  query_span.End();
-  const double detect_seconds =
-      std::max(1.0, ctx->seconds - base.drain_s - finish_s);
-  Repeat(detect_seconds, 5, [&](int i) {
-    const bool traced = ctx->trace && i % 2 == 0;
-    batch->set_collect_stage_timings(traced);
-    SpanRecorder::Scope iteration = ctx->spans->Begin("iteration");
-    PipelineReading reading;
-    reading.workers = static_cast<double>(kBatchWorkers);
-    Detection run =
-        Detect(*batch, canonical, nullptr, traced ? &reading : nullptr, ctx);
-    if (!run.result.has_value()) return;
-    report.Add(traced ? "trace.detect_s" : "detect_s", run.run_s + run.render_s,
-               "s");
-    if (run.report != finish_report) {
-      report.Mismatch("Finish() report differs from the batch report");
-    }
-    if (traced) {
-      reading.Record(ctx);
-      report.Add("core.render_s", run.render_s, "s");
-    }
-    ServeIndex(canonical, *finish, queries, i == 0, ctx);
-  });
-
-  if (!ctx->trace) return;
-  // The batch runs are uncached; this workload's cache is Finish()'s.
-  report.Set("cache.lookup_s", finish->stage_timings.cache_lookup_seconds,
-             "s");
   // ingest_max_rate: the base rate, then the ladder up to the first
   // rate that misses the limit.
   double max_rate = 0.0;
@@ -350,9 +407,9 @@ void RunStandingIngest(Context* ctx) {
     max_rate = kBaseRate;
     for (double rate : kLadder) {
       SpanRecorder::Scope span = ctx->spans->Begin("ingest.ladder");
-      std::optional<Standing> step = Admit(*input, true, ctx);
+      std::optional<Standing> step = Admit(*input, false, ctx);
       if (!step.has_value()) return;
-      const Schedule schedule = RunSchedule(*input, &*step, rate, ctx);
+      const Schedule schedule = RunSchedule(*input, &*step, rate, nullptr, ctx);
       step.reset();
       span.End();
       if (!schedule.Meets()) break;
@@ -360,6 +417,29 @@ void RunStandingIngest(Context* ctx) {
     }
   }
   report.Set("ingest_max_rate", max_rate, "tuples/s");
+
+  // The traced session: its live drain and Finish() are the pipeline
+  // runs whose stage timings the layer metrics read.
+  {
+    SpanRecorder::Scope span = ctx->spans->Begin("iteration");
+    std::optional<Standing> traced = Admit(*input, true, ctx);
+    if (!traced.has_value()) return;
+    PipelineReading reading;
+    const Finished done = FillAndFinish(*input, &*traced, &reading, ctx);
+    if (!done.result.has_value()) return;
+    report.Add("trace.detect_s", done.finish_s + done.render_s, "s");
+    report.Add("core.render_s", done.render_s, "s");
+    reading.Record(ctx);
+    if (done.report != reference) {
+      report.Mismatch("traced Finish() report differs from the batch report");
+    }
+  }
+  ProbeRelationLayers(canonical, ctx);
+  double generate_s = 0.0;
+  double candidates = 0.0;
+  ProbeReduction(*input->plan, canonical, &generate_s, &candidates, ctx);
+  report.Add("reduction.generate_s", generate_s, "s");
+  report.Add("reduction.candidates", candidates, "count");
 }
 
 }  // namespace perfbench

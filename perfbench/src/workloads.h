@@ -19,7 +19,9 @@ void RunFullBatch(Context* ctx);
 void RunReductionSweep(Context* ctx);
 
 /// 1,800 tuples at duplicate rate 0.8: a 500-tuple standing seed, the
-/// other 1,300 pushed open-loop into a StandingSession, then Finish().
+/// other 1,300 pushed into a StandingSession, then Finish() and its
+/// report. The traced run pushes open-loop at 100/s and up a rate
+/// ladder.
 void RunStandingIngest(Context* ctx);
 
 }  // namespace perfbench
