@@ -11,6 +11,7 @@
 
 #include "cache/decision_cache.h"
 #include "core/detector.h"
+#include "index/decision_index.h"
 #include "pdb/text_format.h"
 #include "workloads.h"
 
@@ -32,6 +33,10 @@ void RunFullBatch(Context* ctx) {
   std::optional<pdd::DuplicateDetector> detector;
   const Clock::time_point setup_start = Clock::now();
   for (int i = 0; SetUpAgain(i, SecondsSince(setup_start)); ++i) {
+    // What the previous set-up made is freed outside the timed set-up.
+    detector.reset();
+    data.reset();
+    text = std::string();
     SpanRecorder::Scope setup = ctx->spans->Begin("setup");
     {
       SpanRecorder::Scope span = ctx->spans->Begin("datagen.generate");
@@ -85,7 +90,7 @@ void RunFullBatch(Context* ctx) {
     report.Add("reduction.candidates", candidates, "count");
   }
 
-  Repeat(ctx->seconds, 3, [&](int i) {
+  Repeat(ctx, 3, [&](int i) {
     // The traced run alternates traced and untraced iterations; the
     // difference is the tracing overhead.
     const bool traced = ctx->trace && i % 2 == 0;
@@ -106,7 +111,12 @@ void RunFullBatch(Context* ctx) {
       report.Mismatch("2-worker result digest differs from the serial run");
     }
     run.report.clear();
-    ServeIndex(rel, *run.result, queries, i == 0, ctx);
+    // The index is dropped before the next run, so peak_rss_mb is the
+    // run's, not the run's plus a 46 MB index.
+    const std::optional<pdd::DecisionIndex> index =
+        ServeIndex(rel, *run.result, queries, i == 0, ctx);
+    if (!index.has_value()) return;
+    for (int pass = 0; pass < 3; ++pass) QueryIndex(*index, queries, ctx);
   });
 }
 
@@ -127,6 +137,10 @@ void RunReductionSweep(Context* ctx) {
   std::vector<pdd::DuplicateDetector> detectors;
   const Clock::time_point setup_start = Clock::now();
   for (int i = 0; SetUpAgain(i, SecondsSince(setup_start)); ++i) {
+    // What the previous set-up made is freed outside the timed set-up.
+    detectors.clear();
+    data.reset();
+    text = std::string();
     SpanRecorder::Scope setup = ctx->spans->Begin("setup");
     {
       SpanRecorder::Scope span = ctx->spans->Begin("datagen.generate");
@@ -137,7 +151,6 @@ void RunReductionSweep(Context* ctx) {
       text = pdd::SerializeXRelation(data->relation);
     }
     SpanRecorder::Scope compile = ctx->spans->Begin("plan.compile");
-    detectors.clear();
     for (pdd::ReductionMethod method : kPlans) {
       pdd::Result<pdd::DuplicateDetector> made = pdd::DuplicateDetector::Make(
           PddcliConfig(method, kWindow, kWorkers), data->relation.schema());
@@ -189,7 +202,10 @@ void RunReductionSweep(Context* ctx) {
     report.Add("reduction.candidates", candidates, "count");
   }
 
-  Repeat(ctx->seconds, 2, [&](int i) {
+  // The served plan's index of the latest iteration, queried after every
+  // plan of the next sweep so the query samples spread over the run.
+  std::optional<pdd::DecisionIndex> index;
+  Repeat(ctx, 2, [&](int i) {
     const bool traced = ctx->trace && i % 2 == 0;
     SpanRecorder::Scope iteration = ctx->spans->Begin("iteration");
     // A fresh cache per sweep, at pddcli's default capacity, shared by
@@ -222,6 +238,7 @@ void RunReductionSweep(Context* ctx) {
         evaluate_s += span.End();
       }
       if (p == kServedPlan) served = std::move(run.result);
+      if (index.has_value()) QueryIndex(*index, queries, ctx);
     }
     report.Add(traced ? "trace.detect_s" : "detect_s", detect_s, "s");
     if (traced) {
@@ -230,7 +247,9 @@ void RunReductionSweep(Context* ctx) {
       report.Add("core.render_s", render_s, "s");
       report.Add("verify.evaluate_s", evaluate_s, "s");
     }
-    ServeIndex(rel, *served, queries, i == 0, ctx);
+    index.reset();
+    index = ServeIndex(rel, *served, queries, i == 0, ctx);
+    if (index.has_value()) QueryIndex(*index, queries, ctx);
   });
 }
 

@@ -106,9 +106,32 @@ class SpanRecorder {
 /// verdict and every metric it measured, end-to-end and per layer alike
 /// (run.py keeps the set BENCHMARK.json names for the run's mode). A
 /// metric sampled more than once reports the median of its samples.
+///
+/// `attempted` counts a fixed set of operations for a given workload,
+/// seed and mode: repeats made only to fill the measuring time run
+/// inside an Uncounted scope, so the count does not depend on how fast
+/// the machine was. Their output checks still count when they fail.
 class RunReport {
  public:
-  void Attempt(uint64_t count = 1) { attempted_ += count; }
+  /// Operations attempted while it lives are not counted.
+  class Uncounted {
+   public:
+    explicit Uncounted(RunReport* report, bool active = true)
+        : report_(report), was_(report->counting_) {
+      if (active) report_->counting_ = false;
+    }
+    Uncounted(const Uncounted&) = delete;
+    Uncounted& operator=(const Uncounted&) = delete;
+    ~Uncounted() { report_->counting_ = was_; }
+
+   private:
+    RunReport* report_;
+    bool was_;
+  };
+
+  void Attempt(uint64_t count = 1) {
+    if (counting_) attempted_ += count;
+  }
   /// An operation that failed without making the output wrong.
   void Failed(const std::string& what);
   /// An output check that did not hold: a failed operation that makes
@@ -136,6 +159,7 @@ class RunReport {
     std::string unit;
   };
   bool correct_ = true;
+  bool counting_ = true;
   uint64_t attempted_ = 0;
   uint64_t failed_ = 0;
   std::map<std::string, Metric> metrics_;

@@ -17,6 +17,7 @@
 #include "cache/decision_cache.h"
 #include "core/detector.h"
 #include "core/report_writer.h"
+#include "index/decision_index.h"
 #include "ingest/ingest_queue.h"
 #include "ingest/ingest_stream.h"
 #include "ingest/standing_session.h"
@@ -257,20 +258,19 @@ Finished FinishSession(Standing* standing, PipelineReading* reading,
   return out;
 }
 
-// Fills `standing` back to back and finishes it. Every arrival must be
-// admitted.
-Finished FillAndFinish(const IngestInput& input, Standing* standing,
-                       PipelineReading* reading, Context* ctx) {
-  const Schedule fill = [&] {
-    SpanRecorder::Scope span = ctx->spans->Begin("ingest.fill");
-    return RunSchedule(input, standing, kBackToBack, reading, ctx);
-  }();
+// Fills `standing` back to back, ready for Finish(). Every arrival must
+// be admitted. False when the drain failed (the failure is already
+// reported).
+bool Fill(const IngestInput& input, Standing* standing,
+          PipelineReading* reading, Context* ctx) {
+  SpanRecorder::Scope span = ctx->spans->Begin("ingest.fill");
+  const Schedule fill =
+      RunSchedule(input, standing, kBackToBack, reading, ctx);
   if (fill.lost > 0) {
     ctx->report->Mismatch(std::to_string(fill.lost) +
                           " arrivals lost while filling");
   }
-  if (!fill.drained) return Finished{};
-  return FinishSession(standing, reading, ctx);
+  return fill.drained;
 }
 
 }  // namespace
@@ -286,8 +286,10 @@ void RunStandingIngest(Context* ctx) {
   std::optional<Standing> standing;
   const Clock::time_point setup_start = Clock::now();
   for (int i = 0; SetUpAgain(i, SecondsSince(setup_start)); ++i) {
-    SpanRecorder::Scope setup = ctx->spans->Begin("setup");
+    // What the previous set-up made is freed outside the timed set-up.
     standing.reset();
+    input.reset();
+    SpanRecorder::Scope setup = ctx->spans->Begin("setup");
     input = std::make_unique<IngestInput>();
     {
       SpanRecorder::Scope span = ctx->spans->Begin("datagen.generate");
@@ -327,6 +329,17 @@ void RunStandingIngest(Context* ctx) {
   pdd::XRelation canonical;
   std::string reference;
   QueryPlan queries;
+  // The index of the latest finished session. Each iteration queries the
+  // previous one's index between its fill and its Finish(), so the query
+  // samples spread over the whole run.
+  std::optional<pdd::DecisionIndex> index;
+  // A session takes about 10 s, so each point queries twice to gather
+  // enough samples in a run.
+  auto query_twice = [&] {
+    if (!index.has_value()) return;
+    QueryIndex(*index, queries, ctx);
+    QueryIndex(*index, queries, ctx);
+  };
   auto check_and_serve = [&](Standing* finished, const Finished& done,
                              bool first) {
     if (first) {
@@ -350,18 +363,22 @@ void RunStandingIngest(Context* ctx) {
     if (done.report != reference) {
       report.Mismatch("Finish() report differs from the batch report");
     }
-    ServeIndex(canonical, *done.result, queries, first, ctx);
+    index.reset();
+    index = ServeIndex(canonical, *done.result, queries, first, ctx);
+    query_twice();
   };
 
   if (!ctx->trace) {
     // Each iteration fills a fresh session back to back and times
     // Finish() to its rendered report. The live decisions, and so the
     // cache Finish() replays, do not depend on the arrival rate.
-    Repeat(ctx->seconds, 2, [&](int i) {
+    Repeat(ctx, 2, [&](int i) {
       if (i > 0) standing = Admit(*input, false, ctx);
       if (!standing.has_value()) return;
       SpanRecorder::Scope iteration = ctx->spans->Begin("iteration");
-      const Finished done = FillAndFinish(*input, &*standing, nullptr, ctx);
+      if (!Fill(*input, &*standing, nullptr, ctx)) return;
+      query_twice();
+      const Finished done = FinishSession(&*standing, nullptr, ctx);
       if (done.result.has_value()) {
         report.Add("detect_s", done.finish_s + done.render_s, "s");
         check_and_serve(&*standing, done, i == 0);
@@ -405,6 +422,9 @@ void RunStandingIngest(Context* ctx) {
   double max_rate = 0.0;
   if (base.Meets()) {
     max_rate = kBaseRate;
+    // How many steps run depends on the machine's speed, so their
+    // pushes are not counted.
+    RunReport::Uncounted steps(&report);
     for (double rate : kLadder) {
       SpanRecorder::Scope span = ctx->spans->Begin("ingest.ladder");
       std::optional<Standing> step = Admit(*input, false, ctx);
@@ -425,7 +445,8 @@ void RunStandingIngest(Context* ctx) {
     std::optional<Standing> traced = Admit(*input, true, ctx);
     if (!traced.has_value()) return;
     PipelineReading reading;
-    const Finished done = FillAndFinish(*input, &*traced, &reading, ctx);
+    if (!Fill(*input, &*traced, &reading, ctx)) return;
+    const Finished done = FinishSession(&*traced, &reading, ctx);
     if (!done.result.has_value()) return;
     report.Add("trace.detect_s", done.finish_s + done.render_s, "s");
     report.Add("core.render_s", done.render_s, "s");

@@ -11,7 +11,6 @@
 
 #include "columnar/relation_arena.h"
 #include "core/report_writer.h"
-#include "index/decision_index.h"
 #include "index/index_builder.h"
 #include "pdb/text_format.h"
 #include "prep/standardizer.h"
@@ -287,23 +286,24 @@ QueryPlan MakeQueryPlan(const pdd::XRelation& rel,
   return plan;
 }
 
-void ServeIndex(const pdd::XRelation& rel, const pdd::DetectionResult& result,
-                const QueryPlan& plan, bool check_every_pair, Context* ctx) {
-  constexpr int kQueryLoops = 3;
+std::optional<pdd::DecisionIndex> ServeIndex(
+    const pdd::XRelation& rel, const pdd::DetectionResult& result,
+    const QueryPlan& plan, bool check_every_pair, Context* ctx) {
   RunReport& report = *ctx->report;
   // A small result compiles in well under a second: build it again
-  // until half a second of building has been measured (at most 5 times).
+  // until a second of building has been measured (at most 5 times).
   pdd::IndexBuildStats stats;
   pdd::Result<std::string> image = std::string();
   double building_s = 0.0;
-  for (int build = 0; build < 5 && building_s < 0.5; ++build) {
+  for (int build = 0; build < 5 && building_s < 1.0; ++build) {
+    RunReport::Uncounted extra(&report, build > 0);
     SpanRecorder::Scope build_span = ctx->spans->Begin("index.build");
     image = pdd::BuildDecisionIndexImage(rel, result, &stats);
     const double build_s = build_span.End();
     report.Attempt();
     if (!image.ok()) {
       report.Mismatch("index build: " + image.status().ToString());
-      return;
+      return std::nullopt;
     }
     building_s += build_s;
     report.Add("index_build_s", build_s, "s");
@@ -318,7 +318,7 @@ void ServeIndex(const pdd::XRelation& rel, const pdd::DetectionResult& result,
   report.Attempt();
   if (!index.ok()) {
     report.Mismatch("index open: " + index.status().ToString());
-    return;
+    return std::nullopt;
   }
 
   if (check_every_pair) {
@@ -348,40 +348,42 @@ void ServeIndex(const pdd::XRelation& rel, const pdd::DetectionResult& result,
                       " index answers differ from the detection result");
     }
   }
+  return std::move(index).value();
+}
 
-  for (int loop = 0; loop < kQueryLoops; ++loop) {
-    uint64_t checksum = 0;
-    uint64_t cluster_answers = 0;  // keeps the cluster queries observable
-    SpanRecorder::Scope span = ctx->spans->Begin("index.query");
-    for (const QueryPlan::Query& query : plan.queries) {
-      switch (query.kind) {
-        case QueryPlan::kLookup:
-          checksum = Mix(checksum, AnswerValue(index->Lookup(query.id_a,
-                                                             query.id_b)));
-          break;
-        case QueryPlan::kClusterOf:
-          cluster_answers += index->ClusterOf(query.a).value_or(0);
-          break;
-        case QueryPlan::kMembers:
-          cluster_answers +=
-              index->Members(index->ClusterOf(query.a).value_or(0)).size;
-          break;
-      }
+void QueryIndex(const pdd::DecisionIndex& index, const QueryPlan& plan,
+                Context* ctx) {
+  RunReport& report = *ctx->report;
+  uint64_t checksum = 0;
+  uint64_t cluster_answers = 0;  // keeps the cluster queries observable
+  SpanRecorder::Scope span = ctx->spans->Begin("index.query");
+  for (const QueryPlan::Query& query : plan.queries) {
+    switch (query.kind) {
+      case QueryPlan::kLookup:
+        checksum =
+            Mix(checksum, AnswerValue(index.Lookup(query.id_a, query.id_b)));
+        break;
+      case QueryPlan::kClusterOf:
+        cluster_answers += index.ClusterOf(query.a).value_or(0);
+        break;
+      case QueryPlan::kMembers:
+        cluster_answers +=
+            index.Members(index.ClusterOf(query.a).value_or(0)).size;
+        break;
     }
-    const double seconds = span.End();
-    report.Attempt(plan.queries.size());
-    if (checksum != plan.expected_checksum) {
-      report.Mismatch("index lookups disagree with the detection result");
-    }
-    if (cluster_answers == 0 && !plan.queries.empty()) {
-      report.Mismatch("index cluster queries returned nothing");
-    }
-    const double per_s =
-        seconds > 0.0 ? static_cast<double>(plan.queries.size()) / seconds
-                      : 0.0;
-    report.Add("index_queries_per_s", per_s, "1/s");
-    report.Add("index.query_ns", per_s > 0.0 ? 1e9 / per_s : 0.0, "ns");
   }
+  const double seconds = span.End();
+  report.Attempt(plan.queries.size());
+  if (checksum != plan.expected_checksum) {
+    report.Mismatch("index lookups disagree with the detection result");
+  }
+  if (cluster_answers == 0 && !plan.queries.empty()) {
+    report.Mismatch("index cluster queries returned nothing");
+  }
+  const double per_s =
+      seconds > 0.0 ? static_cast<double>(plan.queries.size()) / seconds : 0.0;
+  report.Add("index_queries_per_s", per_s, "1/s");
+  report.Add("index.query_ns", per_s > 0.0 ? 1e9 / per_s : 0.0, "ns");
 }
 
 }  // namespace perfbench

@@ -17,6 +17,7 @@
 #include "core/config.h"
 #include "core/detector.h"
 #include "datagen/person_generator.h"
+#include "index/decision_index.h"
 #include "harness.h"
 #include "pdb/xrelation.h"
 #include "pipeline/detection_plan.h"
@@ -47,23 +48,28 @@ pdd::DetectorConfig PddcliConfig(pdd::ReductionMethod reduction,
                                  size_t window, size_t workers);
 
 /// Whether to set up once more after `done` set-ups that took `spent_s`
-/// in all: at least 3 and at most 9 times, stopping after 1.5 s.
+/// in all: at least 3 and at most 25 times, stopping after 3 s.
 /// setup_s is the median, so a process's first, colder set-ups do not
-/// decide it.
+/// decide it, and a set-up of a few milliseconds gets enough samples.
 inline bool SetUpAgain(int done, double spent_s) {
-  return done < 3 || (done < 9 && spent_s < 1.5);
+  return done < 3 || (done < 25 && spent_s < 3.0);
 }
 
-/// Runs `iteration(i)` until `seconds` of measuring have passed, and at
-/// least `min_iterations` times. An iteration starts only when another
-/// one of the last one's length still fits in the time.
+/// Runs `iteration(i)` until `ctx->seconds` of measuring have passed,
+/// and at least `min_iterations` times. An iteration starts only when
+/// another one of the last one's length still fits in the time. The
+/// operations of the first `min_iterations` iterations are the ones
+/// `attempted` counts; later iterations only add samples.
 template <typename Iteration>
-void Repeat(double seconds, int min_iterations, Iteration iteration) {
+void Repeat(Context* ctx, int min_iterations, Iteration iteration) {
   const Clock::time_point start = Clock::now();
   double last = 0.0;
   for (int i = 0;; ++i) {
-    if (i >= min_iterations && SecondsSince(start) + last > seconds) break;
+    if (i >= min_iterations && SecondsSince(start) + last > ctx->seconds) {
+      break;
+    }
     const Clock::time_point begin = Clock::now();
+    RunReport::Uncounted extra(ctx->report, i >= min_iterations);
     iteration(i);
     last = SecondsSince(begin);
   }
@@ -141,12 +147,20 @@ struct QueryPlan {
 QueryPlan MakeQueryPlan(const pdd::XRelation& rel,
                         const pdd::DetectionResult& result, uint64_t seed);
 
-/// Compiles `result` into an index image, opens it, checks its answers
-/// (every decided pair when `check_every_pair`) and runs the closed
-/// query loop 3 times on one thread. Samples index_build_s,
-/// index_queries_per_s and the index.* layer metrics.
-void ServeIndex(const pdd::XRelation& rel, const pdd::DetectionResult& result,
-                const QueryPlan& plan, bool check_every_pair, Context* ctx);
+/// Compiles `result` into an index image, opens it and checks its
+/// answers (every decided pair when `check_every_pair`). Samples
+/// index_build_s and the index.* build and open metrics. Empty when the
+/// build or open failed (the failure is already reported).
+std::optional<pdd::DecisionIndex> ServeIndex(
+    const pdd::XRelation& rel, const pdd::DetectionResult& result,
+    const QueryPlan& plan, bool check_every_pair, Context* ctx);
+
+/// Runs the closed query loop over `plan` once on one thread and checks
+/// the answers. Samples index_queries_per_s and index.query_ns. The
+/// workloads call it at several points of an iteration, so that the
+/// samples spread over the whole run rather than over one second of it.
+void QueryIndex(const pdd::DecisionIndex& index, const QueryPlan& plan,
+                Context* ctx);
 
 }  // namespace perfbench
 
