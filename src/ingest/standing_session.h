@@ -4,18 +4,22 @@
 // needs:
 //
 //   * Drain() — the live loop: decides every crossing pair of every
-//     admitted tuple through the plan's decide path (cache → columnar
-//     match → combine → derive → classify), streaming records through
+//     admitted tuple through the plan's decide path (cache → scalar
+//     match → combine → derive → classify; IngestStream attaches no
+//     columnar arena, its relation grows), streaming records through
 //     the configured decision sink until the queue closes. Live record
 //     order depends on arrival order by construction.
 //   * Finish() — THE deterministic report: the canonical (id-sorted)
-//     raw relation re-run through the ordinary batch path with the
-//     session's shared decision cache. Because the live drain decided
-//     the FULL crossing set (a superset of any reduction's candidate
-//     set over content-identical tuples), the re-run is ~100% cache
-//     hits, and its report is byte-identical to a one-shot batch run
-//     of the same tuple set — for ANY arrival order, and for
-//     serial/pooled/sharded finish drains alike.
+//     raw relation re-run through the ordinary batch path (columnar
+//     when the plan is) with the session's shared decision cache.
+//     Because the live drain decided the FULL crossing set (a superset
+//     of any reduction's candidate set over content-identical tuples),
+//     the re-run is pure cache replay when the cache kept every live
+//     decision; a cache smaller than the live crossing set evicts some,
+//     which the re-run decides again. Either way its report is
+//     byte-identical to a one-shot batch run of the same tuple set —
+//     for ANY arrival order, and for serial/pooled/sharded finish
+//     drains alike.
 //   * FinishIncremental() — the RunIncremental bridge: the admitted
 //     suffix re-run as a classic incremental scenario against the
 //     caller's existing relation, byte-identical to the pre-standing

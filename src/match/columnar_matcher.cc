@@ -1,22 +1,11 @@
 #include "match/columnar_matcher.h"
 
 #include <algorithm>
-#include <chrono>
 
 #include "decision/combination.h"
 #include "match/comparison_vector.h"
 
 namespace pdd {
-
-namespace {
-
-using Clock = std::chrono::steady_clock;
-
-inline double Elapsed(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-}  // namespace
 
 ColumnarMatcher::ColumnarMatcher(const DetectionPlan& plan,
                                  const RelationArena& arena)
@@ -94,46 +83,25 @@ void ColumnarMatcher::FillScores(size_t t1, size_t t2) {
   }
 }
 
-XPairDecision ColumnarMatcher::Decide(size_t t1, size_t t2) {
+XPairDecision ColumnarMatcher::Decide(size_t t1, size_t t2,
+                                      StageTimings* timings) {
   XPairDecision decision;
+  StageLapTimer timer(timings);
   for (PipelineStage stage : plan_.stages()) {
     switch (stage) {
       case PipelineStage::kMatch:
         FillScores(t1, t2);
+        timer.Lap(&StageTimings::match_seconds);
         break;
       case PipelineStage::kCombine:
         break;  // fused into kMatch (see header)
       case PipelineStage::kDerive:
         decision.similarity = plan_.RunDeriveStage(scores_);
+        timer.Lap(&StageTimings::derive_seconds);
         break;
       case PipelineStage::kClassify:
         decision.match_class = plan_.RunClassifyStage(decision.similarity);
-        break;
-    }
-  }
-  return decision;
-}
-
-XPairDecision ColumnarMatcher::DecideTimed(size_t t1, size_t t2,
-                                           StageTimings* timings) {
-  XPairDecision decision;
-  for (PipelineStage stage : plan_.stages()) {
-    Clock::time_point start = Clock::now();
-    switch (stage) {
-      case PipelineStage::kMatch:
-        FillScores(t1, t2);
-        timings->match_seconds += Elapsed(start);
-        break;
-      case PipelineStage::kCombine:
-        // Fused into kMatch: the clock read would only measure itself.
-        break;
-      case PipelineStage::kDerive:
-        decision.similarity = plan_.RunDeriveStage(scores_);
-        timings->derive_seconds += Elapsed(start);
-        break;
-      case PipelineStage::kClassify:
-        decision.match_class = plan_.RunClassifyStage(decision.similarity);
-        timings->classify_seconds += Elapsed(start);
+        timer.Lap(&StageTimings::classify_seconds);
         break;
     }
   }

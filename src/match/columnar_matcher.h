@@ -23,11 +23,11 @@
 //     arithmetic); other φ implementations go through the same
 //     Combine virtual call the scalar path uses.
 //
-// DecideTimed walks the plan's stage graph like the executor's timed
-// scalar path, but the columnar match stage computes φ inline while
-// the comparison values are hot (fusing match + combine), so the fused
-// cost is billed to match_seconds and combine_seconds stays 0 on the
-// columnar path.
+// Decide walks the plan's stage graph like DetectionPlan::DecidePair,
+// but the columnar match stage computes φ inline while the comparison
+// values are hot (fusing match + combine), so with timings on the
+// fused cost is billed to match_seconds and combine_seconds stays 0 on
+// the columnar path.
 
 #ifndef PDD_MATCH_COLUMNAR_MATCHER_H_
 #define PDD_MATCH_COLUMNAR_MATCHER_H_
@@ -50,12 +50,10 @@ class ColumnarMatcher {
   ColumnarMatcher(const DetectionPlan& plan, const RelationArena& arena);
 
   /// Decides the pair of arena tuples (t1, t2); bit-identical to
-  /// plan.DecidePair on the corresponding x-tuples.
-  XPairDecision Decide(size_t t1, size_t t2);
-
-  /// Decide with per-stage wall times accumulated into `timings`
-  /// (match_seconds carries the fused match+combine cost).
-  XPairDecision DecideTimed(size_t t1, size_t t2, StageTimings* timings);
+  /// plan.DecidePair on the corresponding x-tuples. Non-null `timings`
+  /// accumulates per-stage wall times (match_seconds carries the fused
+  /// match+combine cost); null reads no clock.
+  XPairDecision Decide(size_t t1, size_t t2, StageTimings* timings = nullptr);
 
   /// The arena this matcher decides over (precomputed tuple digests
   /// for the executor's cache path live here).

@@ -1,5 +1,6 @@
 #include "pipeline/detection_plan.h"
 
+#include "pipeline/detection_result.h"
 #include "plan/registry.h"
 #include "reduction/full_pairs.h"
 #include "reduction/pruning.h"
@@ -201,26 +202,31 @@ MatchClass DetectionPlan::RunClassifyStage(double similarity) const {
   return Classify(similarity, config_.final_thresholds);
 }
 
-XPairDecision DetectionPlan::DecidePair(const XTuple& t1,
-                                        const XTuple& t2) const {
+XPairDecision DetectionPlan::DecidePair(const XTuple& t1, const XTuple& t2,
+                                        StageTimings* timings) const {
   // Walks the compiled stage graph, so stages() is the actual execution
   // order, not descriptive metadata.
   ComparisonMatrix matrix;
   AlternativePairScores scores;
   XPairDecision decision;
+  StageLapTimer timer(timings);
   for (PipelineStage stage : stages_) {
     switch (stage) {
       case PipelineStage::kMatch:
         matrix = RunMatchStage(t1, t2);
+        timer.Lap(&StageTimings::match_seconds);
         break;
       case PipelineStage::kCombine:
         scores = RunCombineStage(t1, t2, matrix);
+        timer.Lap(&StageTimings::combine_seconds);
         break;
       case PipelineStage::kDerive:
         decision.similarity = RunDeriveStage(scores);
+        timer.Lap(&StageTimings::derive_seconds);
         break;
       case PipelineStage::kClassify:
         decision.match_class = RunClassifyStage(decision.similarity);
+        timer.Lap(&StageTimings::classify_seconds);
         break;
     }
   }

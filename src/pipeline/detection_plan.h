@@ -30,6 +30,8 @@
 
 namespace pdd {
 
+struct StageTimings;
+
 /// The per-candidate pipeline stages, in execution order.
 enum class PipelineStage {
   kMatch = 0,     // comparison matrix of the alternative pairs (§IV-A)
@@ -133,8 +135,11 @@ class DetectionPlan {
   /// Stage kClassify: η(t1, t2) from the derived similarity.
   MatchClass RunClassifyStage(double similarity) const;
 
-  /// All four stages on one candidate pair.
-  XPairDecision DecidePair(const XTuple& t1, const XTuple& t2) const;
+  /// All four stages on one candidate pair — the one scalar stage
+  /// walk. With non-null `timings` each stage's wall time is added to
+  /// its field; null reads no clock.
+  XPairDecision DecidePair(const XTuple& t1, const XTuple& t2,
+                           StageTimings* timings = nullptr) const;
 
  private:
   DetectionPlan() = default;

@@ -6,6 +6,7 @@
 #ifndef PDD_PIPELINE_DETECTION_RESULT_H_
 #define PDD_PIPELINE_DETECTION_RESULT_H_
 
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -43,6 +44,28 @@ struct StageTimings {
     cache_lookup_seconds += other.cache_lookup_seconds;
     return *this;
   }
+};
+
+/// Bills wall time to StageTimings fields lap by lap: each Lap() adds
+/// the time since the previous lap (or construction) to one field. A
+/// timer over null timings never reads the clock, so untimed decide
+/// walks pay one branch per stage and nothing else.
+class StageLapTimer {
+ public:
+  explicit StageLapTimer(StageTimings* timings) : timings_(timings) {
+    if (timings_ != nullptr) last_ = Clock::now();
+  }
+  void Lap(double StageTimings::*stage) {
+    if (timings_ == nullptr) return;
+    const Clock::time_point now = Clock::now();
+    timings_->*stage += std::chrono::duration<double>(now - last_).count();
+    last_ = now;
+  }
+
+ private:
+  using Clock = std::chrono::steady_clock;
+  StageTimings* timings_;
+  Clock::time_point last_;
 };
 
 /// Decision-cache activity of one run (run-local, unlike the cache's

@@ -5,6 +5,8 @@
 #include <chrono>
 #include <cmath>
 #include <deque>
+#include <iterator>
+#include <map>
 #include <mutex>
 #include <thread>
 #include <utility>
@@ -22,21 +24,6 @@ using Clock = std::chrono::steady_clock;
 
 inline double Elapsed(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-/// The accumulator a stage's wall time belongs to.
-inline double* TimingSlot(StageTimings* timings, PipelineStage stage) {
-  switch (stage) {
-    case PipelineStage::kMatch:
-      return &timings->match_seconds;
-    case PipelineStage::kCombine:
-      return &timings->combine_seconds;
-    case PipelineStage::kDerive:
-      return &timings->derive_seconds;
-    case PipelineStage::kClassify:
-      return &timings->classify_seconds;
-  }
-  return &timings->classify_seconds;
 }
 
 /// Lazily memoized TupleContentDigest. 0 doubles as the "unset"
@@ -71,6 +58,36 @@ struct WorkerStats {
   double decide_seconds = 0.0;
   /// Per-batch decide latency in microseconds.
   LogHistogram decide_micros;
+  /// Stage wall times and cache activity of this thread's batches,
+  /// summed into the result after the join.
+  StageTimings timings;
+  CacheRunStats cache;
+};
+
+/// One shard's drain state; an unsharded stream is one shard. Pulls
+/// serialize on `pull_mu`, so batch k's content depends on pull order
+/// alone, never on which worker claims it. Decided batches commit in
+/// pull order: a batch that finishes early waits in `decided` until
+/// every earlier batch has committed, and each batch's records are
+/// freed as they commit (into the result, or for a multi-shard drain
+/// into `run`, whose chunks are freed as the merge consumes them).
+struct ShardDrain {
+  std::mutex pull_mu;
+  bool exhausted = false;
+  size_t batches = 0;
+  size_t candidate_count = 0;
+  size_t high_water = 0;
+  /// Candidates of the batches workers pulled and have not yet come
+  /// back from (deciding or committing them).
+  size_t in_flight = 0;
+  std::mutex commit_mu;
+  /// Guarded by commit_mu: a thread is committing this shard, the pull
+  /// index of the next batch to commit, and the batches waiting.
+  bool committing = false;
+  size_t committed = 0;
+  std::map<size_t, std::vector<PairDecisionRecord>> decided;
+  /// Owned by the committing thread.
+  std::deque<std::vector<PairDecisionRecord>> run;
 };
 
 /// Builds the run's unified telemetry — registry from the result's stat
@@ -131,17 +148,12 @@ StageExecutor::StageExecutor(std::shared_ptr<const DetectionPlan> plan,
                              StageExecutorOptions options)
     : plan_(std::move(plan)), options_(std::move(options)) {}
 
-void StageExecutor::DecideBatch(const XRelation& rel,
-                                const std::vector<CandidatePair>& batch,
-                                TupleDigestMemo* digest_memo,
-                                ColumnarMatcher* matcher,
-                                std::vector<PairDecisionRecord>* out,
-                                BatchCounters* counters) const {
-  // Reserve only for a fresh buffer: calling reserve() per batch on the
-  // serial path's accumulating vector would pin capacity to the exact
-  // size and degrade appends to quadratic copying.
-  if (out->empty()) out->reserve(batch.size());
-  const bool timed = options_.stage_timings;
+std::vector<PairDecisionRecord> StageExecutor::DecideBatch(
+    const XRelation& rel, const std::vector<CandidatePair>& batch,
+    TupleDigestMemo* digest_memo, ColumnarMatcher* matcher,
+    StageTimings* timings, CacheRunStats* cache_stats) const {
+  std::vector<PairDecisionRecord> out;
+  out.reserve(batch.size());
   // A cache-ineligible plan (custom comparators: decision fingerprint
   // 0) runs uncached rather than risking cross-instance collisions.
   const bool use_cache =
@@ -152,12 +164,11 @@ void StageExecutor::DecideBatch(const XRelation& rel,
   for (const CandidatePair& pair : batch) {
     const XTuple& t1 = rel.xtuple(pair.first);
     const XTuple& t2 = rel.xtuple(pair.second);
-    // The clock reads themselves are gated on `timed`: an untimed
-    // warm run's per-pair cost stays digest + lookup, nothing else.
-    Clock::time_point start;
-    if (timed && use_cache) start = Clock::now();
-    // Columnar runs read the arena's precomputed tuple digests (the
-    // PR-3 lazy memo moved to build time); scalar runs keep the memo.
+    // Digests + lookup bill to cache_lookup_seconds; an untimed warm
+    // run's per-pair cost stays digest + lookup, nothing else.
+    StageLapTimer lookup_timer(use_cache ? timings : nullptr);
+    // Columnar runs read the arena's precomputed tuple digests; scalar
+    // runs take the lazy memo.
     const uint64_t d1 =
         matcher != nullptr
             ? matcher->arena().tuple_digest(pair.first)
@@ -169,15 +180,15 @@ void StageExecutor::DecideBatch(const XRelation& rel,
     if (use_cache) {
       key.pair_digest = CombineTupleDigests(d1, d2);
       std::optional<CachedPairDecision> cached = cache->Lookup(key);
-      if (timed) counters->timings.cache_lookup_seconds += Elapsed(start);
-      ++counters->cache.lookups;
+      lookup_timer.Lap(&StageTimings::cache_lookup_seconds);
+      ++cache_stats->lookups;
       if (cached.has_value()) {
-        ++counters->cache.hits;
-        out->push_back({t1.id(), t2.id(), pair.first, pair.second,
-                        cached->similarity, cached->match_class});
+        ++cache_stats->hits;
+        out.push_back({t1.id(), t2.id(), pair.first, pair.second,
+                       cached->similarity, cached->match_class});
         continue;
       }
-      ++counters->cache.misses;
+      ++cache_stats->misses;
     }
     // Canonical decide orientation. The cache key is an UNORDERED pair
     // digest, but floating-point similarity is not bit-symmetric in
@@ -188,48 +199,19 @@ void StageExecutor::DecideBatch(const XRelation& rel,
     // Equal digests mean content-identical tuples, where orientation
     // cannot matter. The record keeps the presentation ids/indices.
     const bool flip = d2 < d1;
-    const size_t i1 = flip ? pair.second : pair.first;
-    const size_t i2 = flip ? pair.first : pair.second;
-    const XTuple& ta = flip ? t2 : t1;
-    const XTuple& tb = flip ? t1 : t2;
-    XPairDecision decision;
-    if (matcher != nullptr) {
-      decision = timed ? matcher->DecideTimed(i1, i2, &counters->timings)
-                       : matcher->Decide(i1, i2);
-    } else if (timed) {
-      // DecidePair's walk over the compiled stage graph, with a clock
-      // read around each stage (same order, same arithmetic, same
-      // results — plan_->stages() stays the single source of truth).
-      ComparisonMatrix matrix;
-      AlternativePairScores scores;
-      for (PipelineStage stage : plan_->stages()) {
-        Clock::time_point stage_start = Clock::now();
-        switch (stage) {
-          case PipelineStage::kMatch:
-            matrix = plan_->RunMatchStage(ta, tb);
-            break;
-          case PipelineStage::kCombine:
-            scores = plan_->RunCombineStage(ta, tb, matrix);
-            break;
-          case PipelineStage::kDerive:
-            decision.similarity = plan_->RunDeriveStage(scores);
-            break;
-          case PipelineStage::kClassify:
-            decision.match_class = plan_->RunClassifyStage(decision.similarity);
-            break;
-        }
-        *TimingSlot(&counters->timings, stage) += Elapsed(stage_start);
-      }
-    } else {
-      decision = plan_->DecidePair(ta, tb);
-    }
+    const XPairDecision decision =
+        matcher != nullptr
+            ? matcher->Decide(flip ? pair.second : pair.first,
+                              flip ? pair.first : pair.second, timings)
+            : plan_->DecidePair(flip ? t2 : t1, flip ? t1 : t2, timings);
     if (use_cache) {
       cache->Insert(key, {decision.similarity, decision.match_class});
-      ++counters->cache.inserts;
+      ++cache_stats->inserts;
     }
-    out->push_back({t1.id(), t2.id(), pair.first, pair.second,
-                    decision.similarity, decision.match_class});
+    out.push_back({t1.id(), t2.id(), pair.first, pair.second,
+                   decision.similarity, decision.match_class});
   }
+  return out;
 }
 
 Result<DetectionResult> StageExecutor::Execute(CandidateStream& stream) const {
@@ -247,18 +229,9 @@ Result<DetectionResult> StageExecutor::Execute(CandidateStream& stream) const {
         "stream relation schema incompatible with plan schema");
   }
   DetectionResult result;
-  result.total_pairs = stream.total_pairs();
   result.plan_fingerprint = plan_->fingerprint();
   result.stage_timings_collected = options_.stage_timings;
-  // A cache-ineligible plan (custom comparators: decision fingerprint
-  // 0) runs uncached rather than risking cross-instance collisions.
-  const bool use_cache =
-      options_.cache != nullptr && plan_->decision_fingerprint() != 0;
   if (options_.cache != nullptr) result.cache_stats = CacheRunStats{};
-  // Per-tuple digest memo for the run: filled lazily as candidates
-  // touch tuples (a sparse incremental stream over a large base never
-  // digests the untouched base), then reused by every later pair, so
-  // the hit path never re-hashes tuple content.
   // Columnar kernel path: the plan resolved it at compile time and the
   // stream factory attached an arena over its relation. A custom
   // stream without an arena (or an arena for a different relation, or
@@ -267,351 +240,209 @@ Result<DetectionResult> StageExecutor::Execute(CandidateStream& stream) const {
   const bool columnar = plan_->use_columnar_kernels() && arena != nullptr &&
                         arena->tuple_count() == rel.size();
   result.match_kernel = columnar ? "columnar" : "scalar";
-  // The memo is unconditional: uncached scalar runs need the tuple
-  // digests too, for the canonical decide orientation (see
+  // Per-tuple digest memo for the run: filled lazily as candidates
+  // touch tuples (a sparse incremental stream over a large base never
+  // digests the untouched base), then reused by every later pair, so
+  // the hit path never re-hashes tuple content. Scalar runs need it
+  // even uncached, for the canonical decide orientation (see
   // DecideBatch) — that is what keeps uncached, cold-cached and
-  // warm-cached runs bit-identical. Columnar batches never read it
-  // (they take the arena's precomputed digests), so its slots stay
-  // untouched zeros there. Sized from the stream's tuple CAPACITY, not
-  // its current size: a standing ingest stream's relation grows during
-  // the drain, and the memo must already have a slot for every tuple
-  // that can still arrive.
+  // warm-cached runs bit-identical. Columnar batches take the arena's
+  // precomputed digests instead, so the memo stays empty there. Sized
+  // from the stream's tuple CAPACITY, not its current size: a standing
+  // ingest stream's relation grows during the drain, and the memo must
+  // already have a slot for every tuple that can still arrive.
   TupleDigestMemo digest_memo(columnar ? 0 : stream.tuple_capacity());
-  TupleDigestMemo* digests = &digest_memo;
 
-  // Sharded streams drain shard-by-shard: per-shard worker sets and
-  // accounting, deterministic merge of the per-shard decisions.
-  if (auto* sharded = dynamic_cast<ShardedCandidateStream*>(&stream);
-      sharded != nullptr && sharded->shard_count() > 1) {
-    return ExecuteSharded(*sharded, digests, columnar ? arena : nullptr,
-                          std::move(result));
-  }
-
-  const bool timed = options_.stage_timings;
-  if (options_.workers <= 1) {
+  // A ShardedCandidateStream with several shards drains shard by shard
+  // (per-shard pulls, accounting and decision runs, merged at the end);
+  // every other stream is the one shard, pulled through NextBatch.
+  auto* sharded = dynamic_cast<ShardedCandidateStream*>(&stream);
+  if (sharded != nullptr && sharded->shard_count() <= 1) sharded = nullptr;
+  const size_t shard_count = sharded != nullptr ? sharded->shard_count() : 1;
+  if (shard_count == 1) {
     if (std::optional<size_t> hint = stream.candidate_count_hint()) {
       result.decisions.reserve(*hint);
     }
-    std::optional<ColumnarMatcher> matcher;
-    if (columnar) matcher.emplace(*plan_, *arena);
-    BatchCounters counters;
-    std::vector<WorkerStats> workers(1);
-    WorkerStats& ws = workers[0];
-    std::vector<CandidatePair> batch;
-    while (true) {
-      Clock::time_point pull_start;
-      if (timed) pull_start = Clock::now();
-      size_t pulled = stream.NextBatch(options_.batch_size, &batch);
-      if (timed) ws.pull_seconds += Elapsed(pull_start);
-      if (pulled == 0) {
-        // Exhausted vs idle-but-open: a standing stream blocks in
-        // AwaitMore until tuples arrive (resume pulling) or its feed
-        // closes (drain ends); finite streams return false immediately.
-        if (!stream.AwaitMore()) break;
-        continue;
-      }
-      result.candidate_count += batch.size();
-      ++result.stream_stats.batches;
-      result.stream_stats.live_candidate_high_water =
-          std::max(result.stream_stats.live_candidate_high_water,
-                   batch.size() + stream.buffered_candidates());
-      ++ws.batches;
-      ws.candidates += batch.size();
-      Clock::time_point decide_start;
-      if (timed) decide_start = Clock::now();
-      const size_t decided_before = result.decisions.size();
-      DecideBatch(rel, batch, digests,
-                  matcher.has_value() ? &*matcher : nullptr,
-                  &result.decisions, &counters);
-      if (timed) {
-        double decide = Elapsed(decide_start);
-        ws.decide_seconds += decide;
-        ws.decide_micros.Record(MicrosFromSeconds(decide));
-      }
-      if (options_.decision_sink) {
-        for (size_t i = decided_before; i < result.decisions.size(); ++i) {
-          options_.decision_sink(result.decisions[i]);
-        }
-      }
-    }
-    result.stage_timings = counters.timings;
-    if (result.cache_stats.has_value()) *result.cache_stats = counters.cache;
-    // Re-read after the drain: a standing stream's pair universe grows
-    // as tuples are admitted (finite streams report the same value).
-    result.total_pairs = stream.total_pairs();
-    FinalizeTelemetry(options_, std::move(workers), &result);
-    return result;
   }
-
-  // Parallel path: workers pull batches straight off the stream under a
-  // mutex (pulls are serialized, so batch k's content is independent of
-  // which worker claims it or when), decide into per-batch output slots
-  // and concatenate in pull order — identical to the serial path for
-  // any worker count, while never holding more than the in-flight
-  // batches of candidates (the old path materialized every batch
-  // up-front, resurrecting the O(candidates) buffer streaming deletes).
-  struct Drain {
-    std::mutex mu;
-    bool exhausted = false;
-    // Deques: slot references handed to workers stay valid as later
-    // pulls append (a vector would invalidate them on growth).
-    std::deque<std::vector<PairDecisionRecord>> slots;
-    std::deque<BatchCounters> counters;
-    size_t in_flight_candidates = 0;
-  } drain;
-  // Sink calls are serialized but interleave across workers in commit
-  // order — an execution-shape-dependent order by design (see
-  // StageExecutorOptions::decision_sink).
+  std::vector<ShardDrain> drains(shard_count);
+  // Serializes sink calls across shards: they interleave across
+  // workers and shards in commit order — an execution-shape-dependent
+  // order by design (see StageExecutorOptions::decision_sink).
   std::mutex sink_mu;
-  std::vector<WorkerStats> workers(options_.workers);
-  auto worker = [&](WorkerStats* ws) {
-    // Per-worker matcher: its scratch buffers are thread-private state.
+  const bool timed = options_.stage_timings;
+  const size_t batch_size = options_.batch_size;
+
+  // The one drain body: pull a batch of `shard`, decide it, commit every
+  // batch that is now next in pull order. Any number of threads may
+  // drain one shard; each brings its own matcher (thread-local scratch).
+  auto drain_shard = [&](size_t shard, WorkerStats* ws) {
+    ShardDrain& drain = drains[shard];
     std::optional<ColumnarMatcher> matcher;
     if (columnar) matcher.emplace(*plan_, *arena);
     std::vector<CandidatePair> batch;
+    size_t deciding = 0;  // this worker's share of drain.in_flight
     while (true) {
-      std::vector<PairDecisionRecord>* slot;
-      BatchCounters* slot_counters;
+      size_t seq;
       {
-        std::lock_guard<std::mutex> lock(drain.mu);
+        std::lock_guard<std::mutex> lock(drain.pull_mu);
+        drain.in_flight -= deciding;
+        deciding = 0;
         if (drain.exhausted) return;
         Clock::time_point pull_start;
         if (timed) pull_start = Clock::now();
-        size_t pulled = stream.NextBatch(options_.batch_size, &batch);
+        const size_t pulled =
+            sharded != nullptr
+                ? sharded->ShardNextBatch(shard, batch_size, &batch)
+                : stream.NextBatch(batch_size, &batch);
         if (timed) ws->pull_seconds += Elapsed(pull_start);
         if (pulled == 0) {
-          // Waiting with drain.mu held parks the other workers on the
-          // pull mutex — correct (there is nothing to pull) and free of
-          // lock cycles: AwaitMore blocks on the stream's own
-          // condition, signalled by producers that never take drain.mu.
+          // Exhausted vs idle-but-open: a standing stream blocks in
+          // AwaitMore until tuples arrive (resume pulling) or its feed
+          // closes (drain ends); finite streams — every shard source
+          // among them — return false immediately. Waiting with pull_mu
+          // held parks this shard's other workers on the pull mutex —
+          // correct (there is nothing to pull) and free of lock cycles:
+          // AwaitMore blocks on the stream's own condition, signalled
+          // by producers that never take a drain mutex.
           if (!stream.AwaitMore()) {
             drain.exhausted = true;
             return;
           }
           continue;
         }
-        result.candidate_count += batch.size();
-        ++result.stream_stats.batches;
-        drain.in_flight_candidates += batch.size();
-        result.stream_stats.live_candidate_high_water =
-            std::max(result.stream_stats.live_candidate_high_water,
-                     drain.in_flight_candidates + stream.buffered_candidates());
-        drain.slots.emplace_back();
-        drain.counters.emplace_back();
-        slot = &drain.slots.back();
-        slot_counters = &drain.counters.back();
-      }
-      ++ws->batches;
-      ws->candidates += batch.size();
-      Clock::time_point decide_start;
-      if (timed) decide_start = Clock::now();
-      DecideBatch(rel, batch, digests,
-                  matcher.has_value() ? &*matcher : nullptr, slot,
-                  slot_counters);
-      if (timed) {
-        double decide = Elapsed(decide_start);
-        ws->decide_seconds += decide;
-        ws->decide_micros.Record(MicrosFromSeconds(decide));
-      }
-      if (options_.decision_sink) {
-        std::lock_guard<std::mutex> lock(sink_mu);
-        for (const PairDecisionRecord& rec : *slot) {
-          options_.decision_sink(rec);
-        }
-      }
-      {
-        std::lock_guard<std::mutex> lock(drain.mu);
-        drain.in_flight_candidates -= batch.size();
-      }
-    }
-  };
-  std::vector<std::thread> pool;
-  pool.reserve(options_.workers);
-  for (size_t i = 0; i < options_.workers; ++i) {
-    pool.emplace_back(worker, &workers[i]);
-  }
-  for (std::thread& t : pool) t.join();
-
-  result.decisions.reserve(result.candidate_count);
-  for (std::vector<PairDecisionRecord>& slot : drain.slots) {
-    for (PairDecisionRecord& rec : slot) {
-      result.decisions.push_back(std::move(rec));
-    }
-  }
-  for (const BatchCounters& counters : drain.counters) {
-    result.stage_timings += counters.timings;
-    if (result.cache_stats.has_value()) *result.cache_stats += counters.cache;
-  }
-  result.total_pairs = stream.total_pairs();
-  FinalizeTelemetry(options_, std::move(workers), &result);
-  return result;
-}
-
-Result<DetectionResult> StageExecutor::ExecuteSharded(
-    ShardedCandidateStream& stream, TupleDigestMemo* digests,
-    const RelationArena* arena, DetectionResult result) const {
-  const XRelation& rel = stream.relation();
-  const size_t shard_count = stream.shard_count();
-  // Per-shard drain state: each shard is an independent pull loop with
-  // its own mutex, so shard workers never contend with each other. The
-  // decision cache handle (options_.cache, consulted inside
-  // DecideBatch) is the one shared structure — exactly the cross-shard
-  // sharing a ShardedDecisionCache's lock striping is built for.
-  struct ShardDrain {
-    std::mutex mu;
-    bool exhausted = false;
-    std::deque<std::vector<PairDecisionRecord>> slots;
-    std::deque<BatchCounters> counters;
-    size_t candidate_count = 0;
-    size_t batches = 0;
-    size_t in_flight_candidates = 0;
-    size_t high_water = 0;
-  };
-  std::vector<ShardDrain> drains(shard_count);
-  // Serializes sink calls across every shard's workers (commit order —
-  // execution-shape-dependent, like the pooled path). Per-shard sources
-  // are finite by construction (RestrictToShard over a finite
-  // universe), so the 0-pull below stays terminal: standing streams
-  // take the unsharded drain and shard only their Finish() re-run.
-  std::mutex sink_mu;
-  const bool timed = options_.stage_timings;
-  std::vector<WorkerStats> workers(
-      options_.workers <= 1 ? size_t{1} : options_.workers);
-  auto drain_shard = [&](size_t shard, WorkerStats* ws) {
-    ShardDrain& drain = drains[shard];
-    // One matcher per drain call: shard workers of the same shard run
-    // on different threads, and matcher scratch must stay thread-local.
-    std::optional<ColumnarMatcher> matcher;
-    if (arena != nullptr) matcher.emplace(*plan_, *arena);
-    std::vector<CandidatePair> batch;
-    while (true) {
-      std::vector<PairDecisionRecord>* slot;
-      BatchCounters* slot_counters;
-      {
-        std::lock_guard<std::mutex> lock(drain.mu);
-        if (drain.exhausted) return;
-        Clock::time_point pull_start;
-        if (timed) pull_start = Clock::now();
-        size_t pulled =
-            stream.ShardNextBatch(shard, options_.batch_size, &batch);
-        if (timed) ws->pull_seconds += Elapsed(pull_start);
-        if (pulled == 0) {
-          drain.exhausted = true;
-          return;
-        }
+        seq = drain.batches++;
         drain.candidate_count += batch.size();
-        ++drain.batches;
-        drain.in_flight_candidates += batch.size();
+        deciding = batch.size();
+        drain.in_flight += deciding;
+        const size_t buffered = sharded != nullptr
+                                    ? sharded->ShardBufferedCandidates(shard)
+                                    : stream.buffered_candidates();
         drain.high_water =
-            std::max(drain.high_water,
-                     drain.in_flight_candidates +
-                         stream.ShardBufferedCandidates(shard));
-        drain.slots.emplace_back();
-        drain.counters.emplace_back();
-        slot = &drain.slots.back();
-        slot_counters = &drain.counters.back();
+            std::max(drain.high_water, drain.in_flight + buffered);
       }
       ++ws->batches;
       ws->candidates += batch.size();
       Clock::time_point decide_start;
       if (timed) decide_start = Clock::now();
-      DecideBatch(rel, batch, digests,
-                  matcher.has_value() ? &*matcher : nullptr, slot,
-                  slot_counters);
+      std::vector<PairDecisionRecord> records =
+          DecideBatch(rel, batch, &digest_memo,
+                      matcher.has_value() ? &*matcher : nullptr,
+                      timed ? &ws->timings : nullptr, &ws->cache);
       if (timed) {
         double decide = Elapsed(decide_start);
         ws->decide_seconds += decide;
         ws->decide_micros.Record(MicrosFromSeconds(decide));
       }
-      if (options_.decision_sink) {
-        std::lock_guard<std::mutex> lock(sink_mu);
-        for (const PairDecisionRecord& rec : *slot) {
-          options_.decision_sink(rec);
-        }
-      }
-      {
-        std::lock_guard<std::mutex> lock(drain.mu);
-        drain.in_flight_candidates -= batch.size();
-      }
-    }
-  };
-  if (options_.workers <= 1) {
-    // Serial: shards drain one after another in shard order (on the
-    // calling thread), which already produces per-shard record runs.
-    for (size_t shard = 0; shard < shard_count; ++shard) {
-      drain_shard(shard, &workers[0]);
-    }
-  } else {
-    // Exactly options_.workers threads — the configured bound is a
-    // resource cap and must hold regardless of the shard count. With
-    // workers >= shards, thread t joins shard t % shards' worker set
-    // (sets differ in size by at most one); with fewer workers than
-    // shards, thread t drains shards t, t+workers, ... to completion,
-    // one after another. Workers of one shard serialize on that
-    // shard's mutex only; the output is identical either way.
-    const size_t threads = options_.workers;
-    std::vector<std::thread> pool;
-    pool.reserve(threads);
-    for (size_t t = 0; t < threads; ++t) {
-      pool.emplace_back([&, t]() {
-        if (threads >= shard_count) {
-          drain_shard(t % shard_count, &workers[t]);
-        } else {
-          for (size_t shard = t; shard < shard_count; shard += threads) {
-            drain_shard(shard, &workers[t]);
+
+      // Deposit the batch, then commit every batch that is next in pull
+      // order. One thread at a time commits a shard — the one that
+      // finds no commit in progress — with the lock released, so a long
+      // append (the result vector reallocating) never stalls the other
+      // workers: they deposit and go back to pulling.
+      std::unique_lock<std::mutex> lock(drain.commit_mu);
+      drain.decided.emplace(seq, std::move(records));
+      if (drain.committing) continue;
+      drain.committing = true;
+      while (!drain.decided.empty() &&
+             drain.decided.begin()->first == drain.committed) {
+        std::vector<PairDecisionRecord> ready =
+            std::move(drain.decided.begin()->second);
+        drain.decided.erase(drain.decided.begin());
+        ++drain.committed;
+        lock.unlock();
+        if (options_.decision_sink) {
+          std::lock_guard<std::mutex> sink_lock(sink_mu);
+          for (const PairDecisionRecord& rec : ready) {
+            options_.decision_sink(rec);
           }
         }
-      });
+        if (shard_count == 1) {
+          result.decisions.insert(result.decisions.end(),
+                                  std::make_move_iterator(ready.begin()),
+                                  std::make_move_iterator(ready.end()));
+        } else {
+          drain.run.push_back(std::move(ready));
+        }
+        lock.lock();
+      }
+      drain.committing = false;
     }
+  };
+
+  // Thread t of n drains shards t % shards, then every n-th shard after
+  // it, each to completion. With workers <= 1 that is the calling
+  // thread draining the shards in shard order. Otherwise exactly
+  // `workers` threads run — the configured bound is a resource cap and
+  // holds regardless of the shard count: with workers >= shards,
+  // thread t joins shard t % shards' worker set (sets differ in size by
+  // at most one); with fewer workers than shards, each thread drains
+  // shards t, t + workers, ... one after another.
+  const size_t threads = std::max<size_t>(options_.workers, 1);
+  std::vector<WorkerStats> workers(threads);
+  auto drain_thread = [&](size_t t) {
+    for (size_t shard = t % shard_count; shard < shard_count;
+         shard += threads) {
+      drain_shard(shard, &workers[t]);
+    }
+  };
+  if (threads == 1) {
+    drain_thread(0);
+  } else {
+    std::vector<std::thread> pool;
+    pool.reserve(threads);
+    for (size_t t = 0; t < threads; ++t) pool.emplace_back(drain_thread, t);
     for (std::thread& t : pool) t.join();
   }
 
-  // Flatten each shard's slots into its own (canonically ordered) run,
-  // then k-way merge the runs by ascending (first, second) — stable
-  // tie-break by shard index — reconstructing the order the unsharded
-  // drain would have produced.
-  result.stream_stats.per_shard.resize(shard_count);
-  std::vector<std::vector<PairDecisionRecord>> runs(shard_count);
+  for (const WorkerStats& ws : workers) {
+    result.stage_timings += ws.timings;
+    if (result.cache_stats.has_value()) *result.cache_stats += ws.cache;
+  }
+  if (sharded != nullptr) result.stream_stats.per_shard.resize(shard_count);
   for (size_t shard = 0; shard < shard_count; ++shard) {
-    ShardDrain& drain = drains[shard];
+    const ShardDrain& drain = drains[shard];
     result.candidate_count += drain.candidate_count;
     result.stream_stats.batches += drain.batches;
     result.stream_stats.live_candidate_high_water += drain.high_water;
-    result.stream_stats.per_shard[shard].batches = drain.batches;
-    result.stream_stats.per_shard[shard].live_candidate_high_water =
-        drain.high_water;
-    std::vector<PairDecisionRecord>& run = runs[shard];
-    run.reserve(drain.candidate_count);
-    for (std::vector<PairDecisionRecord>& slot : drain.slots) {
-      for (PairDecisionRecord& rec : slot) run.push_back(std::move(rec));
+    if (sharded != nullptr) {
+      result.stream_stats.per_shard[shard].batches = drain.batches;
+      result.stream_stats.per_shard[shard].live_candidate_high_water =
+          drain.high_water;
     }
-    for (const BatchCounters& counters : drain.counters) {
-      result.stage_timings += counters.timings;
-      if (result.cache_stats.has_value()) {
-        *result.cache_stats += counters.cache;
+  }
+  if (shard_count > 1) {
+    // K-way merge of the per-shard runs by ascending (first, second) —
+    // stable tie-break by shard index — reconstructing the order the
+    // unsharded drain produces. Each run chunk is freed once consumed.
+    result.decisions.reserve(result.candidate_count);
+    std::vector<size_t> cursor(shard_count, 0);
+    while (true) {
+      size_t best = shard_count;
+      for (size_t shard = 0; shard < shard_count; ++shard) {
+        if (drains[shard].run.empty()) continue;
+        if (best == shard_count) {
+          best = shard;
+          continue;
+        }
+        const PairDecisionRecord& a = drains[shard].run.front()[cursor[shard]];
+        const PairDecisionRecord& b = drains[best].run.front()[cursor[best]];
+        if (a.index1 != b.index1 ? a.index1 < b.index1
+                                 : a.index2 < b.index2) {
+          best = shard;
+        }
+      }
+      if (best == shard_count) break;
+      std::deque<std::vector<PairDecisionRecord>>& run = drains[best].run;
+      result.decisions.push_back(std::move(run.front()[cursor[best]]));
+      if (++cursor[best] == run.front().size()) {
+        run.pop_front();
+        cursor[best] = 0;
       }
     }
   }
-  result.decisions.reserve(result.candidate_count);
-  std::vector<size_t> cursor(shard_count, 0);
-  while (true) {
-    size_t best = shard_count;
-    for (size_t shard = 0; shard < shard_count; ++shard) {
-      if (cursor[shard] >= runs[shard].size()) continue;
-      if (best == shard_count) {
-        best = shard;
-        continue;
-      }
-      const PairDecisionRecord& a = runs[shard][cursor[shard]];
-      const PairDecisionRecord& b = runs[best][cursor[best]];
-      if (a.index1 != b.index1 ? a.index1 < b.index1
-                               : a.index2 < b.index2) {
-        best = shard;
-      }
-    }
-    if (best == shard_count) break;
-    result.decisions.push_back(std::move(runs[best][cursor[best]++]));
-  }
+  // Read after the drain: a standing stream's pair universe grows as
+  // tuples are admitted (finite streams report the same value).
+  result.total_pairs = stream.total_pairs();
   FinalizeTelemetry(options_, std::move(workers), &result);
   return result;
 }

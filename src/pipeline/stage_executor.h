@@ -1,15 +1,21 @@
 // StageExecutor: drains a CandidateStream in fixed-size batches and
 // runs every candidate through the plan's stage graph (match → combine
-// → derive → classify), either serially or on an std::thread pool.
-// Batches are indexed as they are pulled (workers pull under a mutex,
-// so batch contents are pull-order-determined regardless of worker
-// timing) and merged back in index order, with every worker writing
-// into its own slot, so the result is byte-identical to serial
-// execution for any worker count — parallelism is purely a throughput
-// knob. The drain is streaming on both paths: live candidates are
-// bounded by the in-flight batches plus whatever the stream itself
-// buffers (nothing for native-streaming reductions), and the drain
-// accounting lands in DetectionResult::stream_stats.
+// → derive → classify). Every run shape — serial, pooled, sharded and
+// the standing live drain — goes through one drain loop over N workers
+// × M shards: an unsharded stream is one shard, and workers <= 1 is
+// the calling thread draining the shards inline, in shard order.
+// Within a shard, pulls serialize on the shard's mutex, so batch k's
+// content depends on pull order alone, and decided batches commit in
+// pull order whichever worker finished them. A single shard commits
+// straight into DetectionResult::decisions; M > 1 shards commit into
+// per-shard runs that are k-way merged after the drain. Either way a
+// batch's records are freed as they commit (or merge), so decisions
+// are held once, and the result is byte-identical to the serial drain
+// for any worker and shard count — parallelism is purely a throughput
+// knob. The drain is streaming: live candidates are bounded by the
+// in-flight batches plus whatever the stream itself buffers (nothing
+// for native-streaming reductions), and the drain accounting lands in
+// DetectionResult::stream_stats.
 //
 // With a DecisionCache attached, each pair is first looked up by
 // (plan decision fingerprint, pair content digest); hits skip the
@@ -18,8 +24,8 @@
 // equivalent plan has decided before. Cached values are the bit
 // patterns the stages produced, so cached ≡ uncached ≡ serial ≡
 // parallel output. Per-stage wall times (plus the cache-lookup path)
-// are accumulated into DetectionResult::stage_timings unless
-// stage_timings is disabled.
+// are accumulated into DetectionResult::stage_timings when
+// stage_timings is enabled; the stage walks read no clock otherwise.
 
 #ifndef PDD_PIPELINE_STAGE_EXECUTOR_H_
 #define PDD_PIPELINE_STAGE_EXECUTOR_H_
@@ -44,25 +50,28 @@ struct StageExecutorOptions {
   size_t workers = 0;
   /// Accumulate per-stage wall times into the result. Off by default:
   /// the clock reads cost real time in the innermost decide loop
-  /// (~20% on cheap-comparator workloads). Enabled by consumers that
-  /// render the breakdown (`pddcli --cache-stats`, bench_fig03's stage
-  /// table, ExecutionStatsReport users).
+  /// (perfbench measured 2–46% of detect time, the most on cheap
+  /// columnar comparators). Enabled by consumers that render the
+  /// breakdown (`pddcli --cache-stats`, bench_fig03's stage table,
+  /// ExecutionStatsReport users).
   bool stage_timings = false;
   /// Decision memoization store shared across runs/plans/threads;
   /// null runs uncached. Ignored (with stats reporting zero lookups)
   /// when the plan is cache-ineligible (decision_fingerprint() == 0).
   std::shared_ptr<DecisionCache> cache;
-  /// Called once per committed decision record, as batches complete.
-  /// The executor serializes calls (one sink invocation at a time), but
-  /// the EMISSION ORDER is execution-shape-dependent on pooled/sharded
-  /// drains: only the merged DetectionResult carries the deterministic
-  /// order. A standing consumer (pddserve) streams decisions out of the
-  /// drain through this; batch callers leave it null for zero overhead.
+  /// Called once per committed decision record, as batches commit.
+  /// The executor serializes calls (one sink invocation at a time).
+  /// Within a shard, records arrive in pull order, so an unsharded
+  /// drain (serial or pooled) emits them in result order; across the
+  /// shards of a sharded drain the EMISSION ORDER depends on worker
+  /// timing, and only the merged DetectionResult carries the
+  /// deterministic order. A standing consumer (pddserve) streams
+  /// decisions out of the drain through this; batch callers leave it
+  /// null for zero overhead.
   std::function<void(const PairDecisionRecord&)> decision_sink;
 };
 
 class ColumnarMatcher;
-class ShardedCandidateStream;
 
 class StageExecutor {
  public:
@@ -78,27 +87,23 @@ class StageExecutor {
   /// *idle but open* (a standing ingest source blocks there until more
   /// tuples arrive or the feed closes), so the same decide path serves
   /// batch runs and the standing loop.
-  /// A ShardedCandidateStream with more than one shard takes the
-  /// shard-aware drain: exactly `workers` threads split into per-shard
-  /// worker sets (a thread covers several shards sequentially when
-  /// workers < shards) pulling under per-shard mutexes, the one
-  /// attached DecisionCache handle shared by every shard worker,
-  /// per-shard accounting in
+  /// A ShardedCandidateStream with more than one shard drains shard by
+  /// shard through ShardNextBatch: exactly `workers` threads split into
+  /// per-shard worker sets (a thread covers several shards
+  /// sequentially when workers < shards) pulling under per-shard
+  /// mutexes, the one attached DecisionCache handle shared by every
+  /// shard worker, per-shard accounting in
   /// DetectionResult::stream_stats.per_shard, and the per-shard
-  /// decision records merged deterministically (ascending
+  /// decision runs merged deterministically (ascending
   /// (first, second), stable shard tie-break) — byte-identical to the
-  /// unsharded drain of the same plan and scenario.
+  /// unsharded drain of the same plan and scenario. Shard sources are
+  /// finite, so their 0-pull stays terminal through the default
+  /// AwaitMore().
   Result<DetectionResult> Execute(CandidateStream& stream) const;
 
   const StageExecutorOptions& options() const { return options_; }
 
  private:
-  /// Per-batch accumulators merged into the result after the drain.
-  struct BatchCounters {
-    StageTimings timings;
-    CacheRunStats cache;
-  };
-
   /// Lazily memoized per-tuple content digests for one run, sized to
   /// the stream's relation. 0 = not yet computed; entries fill in as
   /// candidate pairs touch their tuples, so sparse runs (incremental
@@ -107,25 +112,16 @@ class StageExecutor {
   /// writer stores the same value.
   using TupleDigestMemo = std::vector<std::atomic<uint64_t>>;
 
-  /// Runs the stage graph over one batch, appending to `*out` (the
-  /// per-worker scratch buffer). `digest_memo` is non-null exactly
-  /// when the cache is consulted on the scalar path. `matcher`, when
-  /// non-null, is this worker's columnar matcher: pairs decide through
-  /// the batched kernels and cache keys use the arena's precomputed
-  /// tuple digests instead of the lazy memo (digest_memo is then null).
-  void DecideBatch(const XRelation& rel,
-                   const std::vector<CandidatePair>& batch,
-                   TupleDigestMemo* digest_memo, ColumnarMatcher* matcher,
-                   std::vector<PairDecisionRecord>* out,
-                   BatchCounters* counters) const;
-
-  /// The shard-aware drain (see Execute). `digest_memo` as above;
-  /// `arena` non-null selects the columnar path (one matcher per
-  /// drain_shard call, all over the shared arena).
-  Result<DetectionResult> ExecuteSharded(ShardedCandidateStream& stream,
-                                         TupleDigestMemo* digest_memo,
-                                         const RelationArena* arena,
-                                         DetectionResult result) const;
+  /// Runs the stage graph over one batch and returns its decision
+  /// records in batch order. `digest_memo` serves the scalar path's
+  /// tuple digests; `matcher`, when non-null, is this worker's columnar
+  /// matcher: pairs decide through the batched kernels and digests come
+  /// from the arena instead. Non-null `timings` accumulates stage wall
+  /// times; `cache_stats` counts the cache activity.
+  std::vector<PairDecisionRecord> DecideBatch(
+      const XRelation& rel, const std::vector<CandidatePair>& batch,
+      TupleDigestMemo* digest_memo, ColumnarMatcher* matcher,
+      StageTimings* timings, CacheRunStats* cache_stats) const;
 
   std::shared_ptr<const DetectionPlan> plan_;
   StageExecutorOptions options_;

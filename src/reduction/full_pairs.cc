@@ -1,6 +1,7 @@
 #include "reduction/full_pairs.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "reduction/shard_partitioner.h"
 #include "util/checked_math.h"
@@ -27,6 +28,14 @@ class FullPairSource : public PairBatchSource {
       }
     }
     return out->size();
+  }
+
+  /// n(n-1)/2 before the first pull, so the executor reserves the
+  /// decision vector once instead of regrowing it; unknown once
+  /// restricted to a shard.
+  std::optional<size_t> exact_count_hint() const override {
+    if (assignment_ != nullptr || i_ != 0 || j_ != 1) return std::nullopt;
+    return TriangularPairCount(n_);
   }
 
   bool RestrictToShard(std::shared_ptr<const ShardAssignment> assignment,

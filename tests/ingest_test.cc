@@ -16,6 +16,8 @@
 #include <thread>
 #include <vector>
 
+#include <unistd.h>
+
 #include "cache/decision_cache.h"
 #include "core/detector.h"
 #include "core/report_writer.h"
@@ -401,9 +403,13 @@ TEST(StandingSessionTest, RunIncrementalRejectsDuplicateIds) {
 
 // --- crash-restart warm start ---------------------------------------
 
+// A per-process file name: ctest runs this binary's env passes
+// concurrently in one directory, and a shared name lets one pass delete
+// another's snapshot between its write and its load.
 class SnapshotFile {
  public:
-  explicit SnapshotFile(const char* name) : path_(name) {
+  explicit SnapshotFile(const char* name)
+      : path_(std::string(name) + "." + std::to_string(getpid())) {
     std::remove(path_.c_str());
   }
   ~SnapshotFile() { std::remove(path_.c_str()); }

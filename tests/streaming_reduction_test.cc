@@ -258,6 +258,24 @@ TEST(StreamingReductionTest, NativeStreamsAreHintlessAndStillExact) {
   ExpectIdentical(*hinted, *hintless);
 }
 
+// The full reduction knows its count up front, so the executor reserves
+// the decision vector once; a run over it yields exactly that count.
+TEST(StreamingReductionTest, FullStreamHintIsItsExactCount) {
+  GeneratedData data = StreamTestPersons(40);
+  Result<DuplicateDetector> detector = DuplicateDetector::Make(
+      ReductionConfig(ReductionMethod::kFull), PersonSchema());
+  ASSERT_TRUE(detector.ok());
+  Result<std::unique_ptr<CandidateStream>> stream =
+      MakeFullStream(detector->plan(), data.relation);
+  ASSERT_TRUE(stream.ok());
+  const size_t pairs = TriangularPairCount(data.relation.size());
+  EXPECT_EQ((*stream)->candidate_count_hint(), std::optional<size_t>(pairs));
+  Result<DetectionResult> result = detector->RunStream(**stream);
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result->candidate_count, pairs);
+  EXPECT_EQ(result->decisions.size(), pairs);
+}
+
 TEST(CheckedMathTest, SaturatesInsteadOfWrapping) {
   constexpr size_t kMax = std::numeric_limits<size_t>::max();
   EXPECT_EQ(TriangularPairCount(0), 0u);
